@@ -143,6 +143,16 @@ func (c *Checker) Invalidate(cpu uint8, b trace.Block) {
 	delete(c.copies[b], cpu)
 }
 
+// InvalidateAll models every cache in victims losing its copy of b.
+func (c *Checker) InvalidateAll(victims Set, b trace.Block) {
+	if c == nil {
+		return
+	}
+	for _, v := range victims.Members(nil) {
+		c.Invalidate(v, b)
+	}
+}
+
 // UpdateSharers models a Dragon-style update: every cache currently holding
 // b receives the latest value.
 func (c *Checker) UpdateSharers(b trace.Block) {

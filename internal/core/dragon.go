@@ -19,8 +19,7 @@ import (
 // shared blocks (wh-distrib), which each cost a bus transaction.
 type dragon struct {
 	ncpu   int
-	seen   seenSet
-	blocks map[trace.Block]*dragonBlock
+	blocks BlockStore[dragonBlock]
 
 	Checker *Checker
 }
@@ -31,12 +30,13 @@ type dragonBlock struct {
 	// writer (owner) is responsible for supplying data on a miss.
 	stale bool
 	owner uint8
+	seen  bool // referenced before (first-reference misses)
 }
 
 // NewDragon returns a Dragon engine for ncpu caches.
 func NewDragon(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &dragon{ncpu: ncpu, seen: seenSet{}, blocks: map[trace.Block]*dragonBlock{}}
+	return &dragon{ncpu: ncpu}
 }
 
 func (p *dragon) Name() string { return "Dragon" }
@@ -60,15 +60,6 @@ func (p *dragon) Access(r trace.Ref) event.Result {
 	panic(fmt.Sprintf("core: Dragon: invalid reference kind %d", r.Kind))
 }
 
-func (p *dragon) block(b trace.Block) *dragonBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &dragonBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
-}
-
 func (p *dragon) fill(bl *dragonBlock, c uint8, b trace.Block, res *event.Result) {
 	res.Holders = bl.holders.Count()
 	if bl.stale {
@@ -82,12 +73,13 @@ func (p *dragon) fill(bl *dragonBlock, c uint8, b trace.Block, res *event.Result
 }
 
 func (p *dragon) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.seen.touch(b)
+	first := !bl.seen
+	bl.seen = true
 	var res event.Result
 	switch {
 	case bl.stale:
@@ -104,7 +96,7 @@ func (p *dragon) read(c uint8, b trace.Block) event.Result {
 }
 
 func (p *dragon) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		others := bl.holders.Del(c)
 		p.Checker.Write(c, b)
@@ -123,7 +115,8 @@ func (p *dragon) write(c uint8, b trace.Block) event.Result {
 		}
 	}
 	// Write miss: fetch the block, then behave like a write hit.
-	first := p.seen.touch(b)
+	first := !bl.seen
+	bl.seen = true
 	var res event.Result
 	switch {
 	case bl.stale:
@@ -148,10 +141,13 @@ func (p *dragon) write(c uint8, b trace.Block) event.Result {
 }
 
 func (p *dragon) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	if err := p.blocks.Each(func(b trace.Block, bl *dragonBlock) error {
 		if bl.stale && !bl.holders.Has(bl.owner) {
 			return fmt.Errorf("Dragon: block %#x stale but owner %d is not a holder", b, bl.owner)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return p.Checker.Err()
 }

@@ -28,10 +28,11 @@ type finiteDir struct {
 	ncpu   int
 	cfg    cache.Config
 	caches []*cache.Cache
-	blocks map[trace.Block]*mrswBlock
-	seen   seenSet
-	// gone[c][b] records why CPU c lost block b.
-	gone []map[trace.Block]lossReason
+	blocks BlockStore[mrswBlock]
+	// gone[c] records why CPU c last lost each block (zero: it never
+	// did). Every copy leaves through dropCopy or evict, so a miss
+	// always reads the reason for the latest loss.
+	gone []BlockStore[lossReason]
 
 	// Miss-cause accounting (data misses, first references excluded
 	// from Coherence/Capacity by construction).
@@ -58,13 +59,10 @@ func NewFiniteDirNNB(ncpu int, cfg cache.Config) (Protocol, error) {
 		ncpu:   ncpu,
 		cfg:    cfg,
 		caches: make([]*cache.Cache, ncpu),
-		blocks: map[trace.Block]*mrswBlock{},
-		seen:   seenSet{},
-		gone:   make([]map[trace.Block]lossReason, ncpu),
+		gone:   make([]BlockStore[lossReason], ncpu),
 	}
 	for i := range p.caches {
 		p.caches[i] = cache.New(cfg)
-		p.gone[i] = map[trace.Block]lossReason{}
 	}
 	return p, nil
 }
@@ -74,15 +72,6 @@ func (p *finiteDir) CPUs() int    { return p.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *finiteDir) SetChecker(c *Checker) { p.Checker = c }
-
-func (p *finiteDir) block(b trace.Block) *mrswBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &mrswBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
-}
 
 func (p *finiteDir) Access(r trace.Ref) event.Result {
 	if int(r.CPU) >= p.ncpu {
@@ -102,7 +91,7 @@ func (p *finiteDir) Access(r trace.Ref) event.Result {
 }
 
 func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		// Residency and directory state agree by construction; touch
 		// the cache to keep LRU order honest.
@@ -123,10 +112,7 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 			Inval:    others.Count(),
 			DirCheck: true,
 		}
-		for _, v := range others.Members(nil) {
-			p.dropCopy(v, b, lostInvalidated)
-			p.Checker.Invalidate(v, b)
-		}
+		p.invalidate(others, b)
 		p.Checker.Write(c, b)
 		bl.holders = 0
 		bl.holders = bl.holders.Add(c)
@@ -135,13 +121,14 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		return res
 	}
 	// Miss. Attribute the cause before refilling.
-	first := p.seen.touch(b)
-	switch {
+	first := !bl.seen
+	bl.seen = true
+	switch lost := *p.gone[c].At(b); {
 	case first:
 		// First reference in the whole trace: uniprocessor cold.
-	case p.gone[c][b] == lostInvalidated:
+	case lost == lostInvalidated:
 		p.Coherence++
-	case p.gone[c][b] == lostEvicted:
+	case lost == lostEvicted:
 		p.Capacity++
 	default:
 		// First touch by this CPU (the block lives elsewhere or was
@@ -149,7 +136,6 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		// as cold for this cache.
 		p.Cold++
 	}
-	delete(p.gone[c], b)
 
 	var res event.Result
 	res.Holders = bl.holders.Count()
@@ -174,10 +160,7 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 		if write {
 			res.Type = event.WrMissClean
 			res.Inval = bl.holders.Count()
-			for _, v := range bl.holders.Members(nil) {
-				p.dropCopy(v, b, lostInvalidated)
-				p.Checker.Invalidate(v, b)
-			}
+			p.invalidate(bl.holders, b)
 		}
 		p.Checker.FillFromMemory(c, b)
 	default:
@@ -210,16 +193,25 @@ func (p *finiteDir) access(c uint8, b trace.Block, write bool) event.Result {
 	return res
 }
 
+// invalidate drops every victim's copy of b.
+func (p *finiteDir) invalidate(victims Set, b trace.Block) {
+	for s := victims; s != 0; s &= s - 1 {
+		v := s.First()
+		p.dropCopy(v, b, lostInvalidated)
+		p.Checker.Invalidate(v, b)
+	}
+}
+
 // dropCopy removes CPU v's copy of b from its cache and records why.
 func (p *finiteDir) dropCopy(v uint8, b trace.Block, why lossReason) {
 	p.caches[v].Invalidate(b)
-	p.gone[v][b] = why
+	*p.gone[v].At(b) = why
 }
 
 // evict handles a replacement victim: dirty victims flush to memory,
 // clean ones notify the directory; either way the full map stays exact.
 func (p *finiteDir) evict(c uint8, victim trace.Block, res *event.Result) {
-	vbl := p.block(victim)
+	vbl := p.blocks.At(victim)
 	if vbl.dirty && vbl.owner == c {
 		res.EvictWB = true
 		p.Checker.WriteBack(c, victim)
@@ -230,7 +222,7 @@ func (p *finiteDir) evict(c uint8, victim trace.Block, res *event.Result) {
 	}
 	vbl.holders = vbl.holders.Del(c)
 	p.Checker.Invalidate(c, victim)
-	p.gone[c][victim] = lostEvicted
+	*p.gone[c].At(victim) = lostEvicted
 }
 
 // Counters returns the miss-cause accounting: per-cache cold fills,
@@ -242,7 +234,7 @@ func (p *finiteDir) Counters() (cold, coherence, capacity int64) {
 
 // CheckInvariants verifies the directory map matches cache residency.
 func (p *finiteDir) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	if err := p.blocks.Each(func(b trace.Block, bl *mrswBlock) error {
 		for cpu := 0; cpu < p.ncpu; cpu++ {
 			inDir := bl.holders.Has(uint8(cpu))
 			inCache := p.caches[cpu].Contains(b)
@@ -254,6 +246,9 @@ func (p *finiteDir) CheckInvariants() error {
 		if bl.dirty && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("FiniteDirNNB: block %#x dirty with holders %b", b, bl.holders)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return p.Checker.Err()
 }

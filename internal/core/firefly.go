@@ -15,8 +15,7 @@ import (
 // asserted, by memory otherwise.
 type firefly struct {
 	ncpu   int
-	seen   seenSet
-	blocks map[trace.Block]*fireflyBlock
+	blocks BlockStore[fireflyBlock]
 
 	Checker *Checker
 }
@@ -27,12 +26,13 @@ type fireflyBlock struct {
 	// write refreshes memory, so stale implies one holder.
 	stale bool
 	owner uint8
+	seen  bool // referenced before (first-reference misses)
 }
 
 // NewFirefly returns a Firefly engine for ncpu caches.
 func NewFirefly(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &firefly{ncpu: ncpu, seen: seenSet{}, blocks: map[trace.Block]*fireflyBlock{}}
+	return &firefly{ncpu: ncpu}
 }
 
 func (p *firefly) Name() string { return "Firefly" }
@@ -40,15 +40,6 @@ func (p *firefly) CPUs() int    { return p.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *firefly) SetChecker(c *Checker) { p.Checker = c }
-
-func (p *firefly) block(b trace.Block) *fireflyBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &fireflyBlock{}
-		p.blocks[b] = bl
-	}
-	return bl
-}
 
 func (p *firefly) Access(r trace.Ref) event.Result {
 	if int(r.CPU) >= p.ncpu {
@@ -86,12 +77,13 @@ func (p *firefly) fill(bl *fireflyBlock, c uint8, b trace.Block, res *event.Resu
 }
 
 func (p *firefly) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.seen.touch(b)
+	first := !bl.seen
+	bl.seen = true
 	var res event.Result
 	switch {
 	case bl.stale:
@@ -108,7 +100,7 @@ func (p *firefly) read(c uint8, b trace.Block) event.Result {
 }
 
 func (p *firefly) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		others := bl.holders.Del(c)
 		p.Checker.Write(c, b)
@@ -131,7 +123,8 @@ func (p *firefly) write(c uint8, b trace.Block) event.Result {
 			Update:    true,
 		}
 	}
-	first := p.seen.touch(b)
+	first := !bl.seen
+	bl.seen = true
 	var res event.Result
 	switch {
 	case bl.stale:
@@ -159,11 +152,14 @@ func (p *firefly) write(c uint8, b trace.Block) event.Result {
 }
 
 func (p *firefly) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	if err := p.blocks.Each(func(b trace.Block, bl *fireflyBlock) error {
 		if bl.stale && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("Firefly: block %#x stale with holders %b (owner %d)",
 				b, bl.holders, bl.owner)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	return p.Checker.Err()
 }

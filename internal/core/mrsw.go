@@ -48,8 +48,11 @@ type mrsw struct {
 	// from one copy to two (the extra bus bandwidth the paper notes).
 	singleBit bool
 
-	seen   seenSet
-	blocks map[trace.Block]*mrswBlock
+	blocks BlockStore[mrswBlock]
+	// fifos holds, for DiriNB with i < ncpu, every block's pointers in
+	// fill order, i slots per block, so victim choice needs no
+	// per-block allocation.
+	fifos []uint8
 
 	// Checker, when non-nil, receives data-movement callbacks so tests
 	// can assert value coherence.
@@ -61,11 +64,12 @@ type mrswBlock struct {
 	holders Set   // caches with a valid copy
 	dirty   bool  // memory is stale; owner holds the only copy
 	owner   uint8 // valid when dirty
+	seen    bool  // referenced before (first-reference misses)
 
 	// Directory knowledge (what the hardware entry would record):
-	ptrSet  Set     // pointer contents for DiriB/DiriNB/full-map
-	ptrFIFO []uint8 // pointer fill order, for DiriNB victim choice
-	bcast   bool    // DiriB broadcast bit / Dir0B "clean in unknown caches"
+	bcast  bool   // DiriB broadcast bit / Dir0B "clean in unknown caches"
+	fifo   uint32 // DiriNB: the block's slot group in fifos, counted from 1
+	ptrSet Set    // pointer contents for DiriB/DiriNB/full-map
 }
 
 // Variant constructors ---------------------------------------------------
@@ -75,8 +79,7 @@ type mrswBlock struct {
 // with broadcast invalidations.
 func NewDir0B(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "Dir0B", ncpu: ncpu, ptrs: 0, broadcast: true,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "Dir0B", ncpu: ncpu, ptrs: 0, broadcast: true}
 }
 
 // NewDirNNB returns the Censier–Feautrier full-map scheme: one valid bit
@@ -84,8 +87,7 @@ func NewDir0B(ncpu int) Protocol {
 // sequential messages, no broadcasts ever.
 func NewDirNNB(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "DirNNB", ncpu: ncpu, ptrs: ncpu,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "DirNNB", ncpu: ncpu, ptrs: ncpu}
 }
 
 // NewDiriNB returns the limited-pointer no-broadcast scheme Dir_i NB: at
@@ -102,9 +104,7 @@ func NewDiriNB(ncpu, i int) Protocol {
 		p.name = fmt.Sprintf("Dir%dNB", i)
 		return p
 	}
-	return &mrsw{name: fmt.Sprintf("Dir%dNB", i), ncpu: ncpu, ptrs: i,
-		limitCopies: true,
-		seen:        seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: fmt.Sprintf("Dir%dNB", i), ncpu: ncpu, ptrs: i, limitCopies: true}
 }
 
 // NewDiriB returns the limited-pointer broadcast scheme Dir_i B: the entry
@@ -116,9 +116,7 @@ func NewDiriB(ncpu, i int) Protocol {
 	if i < 1 {
 		panic("core: DiriB requires at least one pointer (use NewDir0B for i=0)")
 	}
-	return &mrsw{name: fmt.Sprintf("Dir%dB", i), ncpu: ncpu, ptrs: i,
-		broadcast: true,
-		seen:      seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: fmt.Sprintf("Dir%dB", i), ncpu: ncpu, ptrs: i, broadcast: true}
 }
 
 // NewYenFu returns the Yen–Fu refinement of the Censier–Feautrier
@@ -128,8 +126,7 @@ func NewDiriB(ncpu, i int) Protocol {
 // of control traffic to keep the bits current.
 func NewYenFu(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "YenFu", ncpu: ncpu, ptrs: ncpu, singleBit: true,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "YenFu", ncpu: ncpu, ptrs: ncpu, singleBit: true}
 }
 
 // NewWTI returns the write-through-with-invalidate snoopy protocol: all
@@ -137,8 +134,7 @@ func NewYenFu(ncpu int) Protocol {
 // is never stale.
 func NewWTI(ncpu int) Protocol {
 	checkCPUs(ncpu)
-	return &mrsw{name: "WTI", ncpu: ncpu, writeThrough: true, broadcast: true,
-		seen: seenSet{}, blocks: map[trace.Block]*mrswBlock{}}
+	return &mrsw{name: "WTI", ncpu: ncpu, writeThrough: true, broadcast: true}
 }
 
 // Engine ------------------------------------------------------------------
@@ -149,13 +145,15 @@ func (p *mrsw) CPUs() int    { return p.ncpu }
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *mrsw) SetChecker(c *Checker) { p.Checker = c }
 
-func (p *mrsw) block(b trace.Block) *mrswBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &mrswBlock{}
-		p.blocks[b] = bl
+// fifo returns a DiriNB block's pointers in fill order, oldest first,
+// giving the block its slots on first use.
+func (p *mrsw) fifo(bl *mrswBlock) []uint8 {
+	if bl.fifo == 0 {
+		p.fifos = append(p.fifos, make([]uint8, p.ptrs)...)
+		bl.fifo = uint32(len(p.fifos) / p.ptrs)
 	}
-	return bl
+	off := (int(bl.fifo) - 1) * p.ptrs
+	return p.fifos[off : off+p.ptrs]
 }
 
 func (p *mrsw) Access(r trace.Ref) event.Result {
@@ -174,12 +172,13 @@ func (p *mrsw) Access(r trace.Ref) event.Result {
 }
 
 func (p *mrsw) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.Checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.seen.touch(b)
+	first := !bl.seen
+	bl.seen = true
 	res := event.Result{Holders: bl.holders.Count()}
 	switch {
 	case bl.dirty:
@@ -234,22 +233,25 @@ func (p *mrsw) dirRecordFill(bl *mrswBlock, c uint8, b trace.Block, res *event.R
 		bl.bcast = bl.holders.Count() > 1
 		return
 	}
-	if bl.ptrSet.Count() < p.ptrs {
+	if n := bl.ptrSet.Count(); n < p.ptrs {
+		if p.limitCopies {
+			p.fifo(bl)[n] = c
+		}
 		bl.ptrSet = bl.ptrSet.Add(c)
-		bl.ptrFIFO = append(bl.ptrFIFO, c)
 		return
 	}
 	// Pointer overflow.
 	if p.limitCopies {
 		// DiriNB: invalidate the oldest copy to make room.
-		victim := bl.ptrFIFO[0]
-		bl.ptrFIFO = bl.ptrFIFO[1:]
+		fifo := p.fifo(bl)
+		victim := fifo[0]
+		copy(fifo, fifo[1:])
+		fifo[p.ptrs-1] = c
 		bl.ptrSet = bl.ptrSet.Del(victim)
 		bl.holders = bl.holders.Del(victim)
 		p.Checker.Invalidate(victim, b)
 		res.ForcedInval++
 		bl.ptrSet = bl.ptrSet.Add(c)
-		bl.ptrFIFO = append(bl.ptrFIFO, c)
 		return
 	}
 	// DiriB: set the broadcast bit, leave pointers as they are.
@@ -257,7 +259,7 @@ func (p *mrsw) dirRecordFill(bl *mrswBlock, c uint8, b trace.Block, res *event.R
 }
 
 func (p *mrsw) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	var res event.Result
 	switch {
 	case bl.dirty && bl.owner == c:
@@ -271,7 +273,8 @@ func (p *mrsw) write(c uint8, b trace.Block) event.Result {
 		p.Checker.Write(c, b)
 		p.takeExclusive(bl, c, b)
 	default:
-		first := p.seen.touch(b)
+		first := !bl.seen
+		bl.seen = true
 		res.Holders = bl.holders.Count()
 		switch {
 		case bl.dirty:
@@ -339,9 +342,7 @@ func (p *mrsw) invalidate(bl *mrswBlock, victims Set, b trace.Block, res *event.
 			res.Inval = k
 		}
 	}
-	for _, v := range victims.Members(nil) {
-		p.Checker.Invalidate(v, b)
-	}
+	p.Checker.InvalidateAll(victims, b)
 }
 
 // flushInval fills the invalidation fields for purging a dirty owner on a
@@ -369,36 +370,52 @@ func (p *mrsw) takeExclusive(bl *mrswBlock, c uint8, b trace.Block) {
 	if p.ptrs > 0 {
 		bl.ptrSet = 0
 		bl.ptrSet = bl.ptrSet.Add(c)
-		bl.ptrFIFO = bl.ptrFIFO[:0]
-		bl.ptrFIFO = append(bl.ptrFIFO, c)
+	}
+	if p.limitCopies {
+		p.fifo(bl)[0] = c
 	}
 }
 
 // CheckInvariants validates the engine's internal consistency.
 func (p *mrsw) CheckInvariants() error {
-	for b, bl := range p.blocks {
-		if bl.dirty {
-			if !bl.holders.Only(bl.owner) {
-				return fmt.Errorf("%s: block %#x dirty but holders=%b owner=%d", p.name, b, bl.holders, bl.owner)
-			}
-		}
-		if p.limitCopies && bl.holders.Count() > p.ptrs {
-			return fmt.Errorf("%s: block %#x has %d copies, limit %d", p.name, b, bl.holders.Count(), p.ptrs)
-		}
-		if p.ptrs > 0 {
-			if bl.ptrSet&^bl.holders != 0 {
-				return fmt.Errorf("%s: block %#x directory points at non-holders (ptr=%b holders=%b)", p.name, b, bl.ptrSet, bl.holders)
-			}
-			if !bl.bcast && bl.ptrSet != bl.holders {
-				return fmt.Errorf("%s: block %#x directory lost holders without broadcast bit (ptr=%b holders=%b)", p.name, b, bl.ptrSet, bl.holders)
-			}
-		}
-		if p.ptrs == 0 && !p.writeThrough {
-			many := bl.holders.Count() > 1
-			if bl.bcast != many {
-				return fmt.Errorf("%s: block %#x clean-many bit %v but %d holders", p.name, b, bl.bcast, bl.holders.Count())
-			}
-		}
+	if err := p.blocks.Each(p.checkBlock); err != nil {
+		return err
 	}
 	return p.Checker.Err()
+}
+
+// checkBlock validates one block's entry.
+func (p *mrsw) checkBlock(b trace.Block, bl *mrswBlock) error {
+	if bl.dirty {
+		if !bl.holders.Only(bl.owner) {
+			return fmt.Errorf("%s: block %#x dirty but holders=%b owner=%d", p.name, b, bl.holders, bl.owner)
+		}
+	}
+	if p.limitCopies && bl.holders.Count() > p.ptrs {
+		return fmt.Errorf("%s: block %#x has %d copies, limit %d", p.name, b, bl.holders.Count(), p.ptrs)
+	}
+	if p.ptrs > 0 {
+		if bl.ptrSet&^bl.holders != 0 {
+			return fmt.Errorf("%s: block %#x directory points at non-holders (ptr=%b holders=%b)", p.name, b, bl.ptrSet, bl.holders)
+		}
+		if !bl.bcast && bl.ptrSet != bl.holders {
+			return fmt.Errorf("%s: block %#x directory lost holders without broadcast bit (ptr=%b holders=%b)", p.name, b, bl.ptrSet, bl.holders)
+		}
+	}
+	if p.ptrs == 0 && !p.writeThrough {
+		many := bl.holders.Count() > 1
+		if bl.bcast != many {
+			return fmt.Errorf("%s: block %#x clean-many bit %v but %d holders", p.name, b, bl.bcast, bl.holders.Count())
+		}
+	}
+	if p.limitCopies && !bl.ptrSet.Empty() {
+		var filled Set
+		for _, c := range p.fifo(bl)[:bl.ptrSet.Count()] {
+			filled = filled.Add(c)
+		}
+		if filled != bl.ptrSet {
+			return fmt.Errorf("%s: block %#x fill order holds %b, pointers %b", p.name, b, filled, bl.ptrSet)
+		}
+	}
+	return nil
 }

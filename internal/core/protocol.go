@@ -13,6 +13,11 @@
 // All engines model the paper's infinite caches: a block leaves a cache
 // only through coherence actions, never through replacement. The finite
 // cache substrate in internal/cache is wired in by the extension studies.
+//
+// Every engine keeps its per-block state — the directory entry, or the
+// union of the snoopy caches' tags, plus a first-reference bit — in a
+// BlockStore: fixed-size pages of plain entries whose zero value means
+// "never referenced".
 package core
 
 import (
@@ -126,18 +131,4 @@ func (s Set) Members(dst []uint8) []uint8 {
 		s >>= 1
 	}
 	return dst
-}
-
-// seenSet tracks which blocks have ever been referenced, so engines can
-// classify first-reference misses (rm-first-ref / wm-first-ref), which the
-// paper excludes from the multiprocessing overhead.
-type seenSet map[trace.Block]struct{}
-
-// touch records a reference to b and reports whether it was the first one.
-func (s seenSet) touch(b trace.Block) (first bool) {
-	if _, ok := s[b]; ok {
-		return false
-	}
-	s[b] = struct{}{}
-	return true
 }

@@ -108,7 +108,7 @@ func TestCodeString(t *testing.T) {
 }
 
 func TestCodeValidate(t *testing.T) {
-	bad := Code{value: 1, wild: 1}
+	bad := Code{value: 1, wild: 1, named: true}
 	if bad.Validate() == nil {
 		t.Error("overlapping value/wild bits should be invalid")
 	}

@@ -19,8 +19,7 @@ import (
 // experiment measures.
 type CoarseVector struct {
 	ncpu   int
-	seen   map[trace.Block]struct{}
-	blocks map[trace.Block]*cvBlock
+	blocks core.BlockStore[cvBlock]
 
 	// Wasted counts invalidation messages sent to caches that held no
 	// copy; Useful counts those that did.
@@ -34,6 +33,7 @@ type cvBlock struct {
 	code    Code
 	dirty   bool
 	owner   uint8
+	seen    bool // referenced before (first-reference misses)
 }
 
 // NewCoarseVector returns a coarse-vector directory engine for ncpu
@@ -42,11 +42,7 @@ func NewCoarseVector(ncpu int) *CoarseVector {
 	if ncpu <= 0 || ncpu > core.MaxCPUs {
 		panic(fmt.Sprintf("directory: cpu count %d out of range", ncpu))
 	}
-	return &CoarseVector{
-		ncpu:   ncpu,
-		seen:   make(map[trace.Block]struct{}),
-		blocks: make(map[trace.Block]*cvBlock),
-	}
+	return &CoarseVector{ncpu: ncpu}
 }
 
 // Name implements core.Protocol.
@@ -57,23 +53,6 @@ func (p *CoarseVector) CPUs() int { return p.ncpu }
 
 // SetChecker attaches a value-coherence checker (tests only).
 func (p *CoarseVector) SetChecker(c *core.Checker) { p.checker = c }
-
-func (p *CoarseVector) block(b trace.Block) *cvBlock {
-	bl := p.blocks[b]
-	if bl == nil {
-		bl = &cvBlock{code: EmptyCode()}
-		p.blocks[b] = bl
-	}
-	return bl
-}
-
-func (p *CoarseVector) first(b trace.Block) bool {
-	if _, ok := p.seen[b]; ok {
-		return false
-	}
-	p.seen[b] = struct{}{}
-	return true
-}
 
 // Access implements core.Protocol.
 func (p *CoarseVector) Access(r trace.Ref) event.Result {
@@ -92,12 +71,13 @@ func (p *CoarseVector) Access(r trace.Ref) event.Result {
 }
 
 func (p *CoarseVector) read(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	if bl.holders.Has(c) {
 		p.checker.ReadHit(c, b)
 		return event.Result{Type: event.RdHit}
 	}
-	first := p.first(b)
+	first := !bl.seen
+	bl.seen = true
 	res := event.Result{Holders: bl.holders.Count()}
 	switch {
 	case bl.dirty:
@@ -126,7 +106,7 @@ func (p *CoarseVector) read(c uint8, b trace.Block) event.Result {
 }
 
 func (p *CoarseVector) write(c uint8, b trace.Block) event.Result {
-	bl := p.block(b)
+	bl := p.blocks.At(b)
 	var res event.Result
 	switch {
 	case bl.dirty && bl.owner == c:
@@ -140,7 +120,8 @@ func (p *CoarseVector) write(c uint8, b trace.Block) event.Result {
 		res.Inval = p.invalidateNamed(bl, c, b)
 		p.checker.Write(c, b)
 	default:
-		first := p.first(b)
+		first := !bl.seen
+		bl.seen = true
 		res.Holders = bl.holders.Count()
 		switch {
 		case bl.dirty:
@@ -178,8 +159,8 @@ func (p *CoarseVector) write(c uint8, b trace.Block) event.Result {
 // from the holder set.
 func (p *CoarseVector) invalidateNamed(bl *cvBlock, writer uint8, b trace.Block) int {
 	sent := 0
-	for _, v := range bl.code.Members(p.ncpu, nil) {
-		if v == writer {
+	for v := uint8(0); int(v) < p.ncpu; v++ {
+		if v == writer || !bl.code.Covers(v) {
 			continue
 		}
 		sent++
@@ -197,7 +178,7 @@ func (p *CoarseVector) invalidateNamed(bl *cvBlock, writer uint8, b trace.Block)
 // CheckInvariants implements core.Protocol: the code must always cover the
 // holder set, and dirty blocks must have a single holder.
 func (p *CoarseVector) CheckInvariants() error {
-	for b, bl := range p.blocks {
+	if err := p.blocks.Each(func(b trace.Block, bl *cvBlock) error {
 		if err := bl.code.Validate(); err != nil {
 			return err
 		}
@@ -209,11 +190,11 @@ func (p *CoarseVector) CheckInvariants() error {
 		if bl.dirty && !bl.holders.Only(bl.owner) {
 			return fmt.Errorf("directory: block %#x dirty with holders %b", b, bl.holders)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	if p.checker != nil {
-		return p.checker.Err()
-	}
-	return nil
+	return p.checker.Err()
 }
 
 // Overshoot returns the fraction of invalidation messages that were
