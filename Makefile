@@ -22,15 +22,18 @@ check: build vet race shard-equiv
 
 # The sharded-simulation equivalence suite on its own under the race
 # detector: every paper scheme over the standard workloads at shard
-# counts {1,2,3,8,16} bit-identical to sequential, the table-driven
-# Dir1NB core against its executable specification, the golden
-# fingerprints pinning every protocol core's exact results, the shared
-# paged block-state store's unit tests, and the shard fault tests
-# (injected panic -> structured error, no goroutine leaks).
+# counts {1,2,3,8,16} bit-identical to sequential, the one-shard inline
+# contract, the table-driven Dir1NB core against its executable
+# specification, the golden fingerprints pinning every protocol core's
+# exact results, the shared paged block-state store's unit tests, the
+# shard fault tests (injected panic -> structured error, no goroutine
+# leaks), and cmd/dirsim's single SimulateSharded dispatch (sharded CSV
+# identical to sequential, sim.shard and simulate.finish journal events).
 shard-equiv:
 	$(GO) test -race -count=1 \
 		-run 'TestSharded|TestShardOf|TestEngineShard|TestDir1NBTable|TestGoldenFingerprints|TestBlockStore' \
 		./internal/sim ./internal/engine ./internal/core
+	$(GO) test -race -count=1 -run 'TestRunSharded|TestRunWithJournal' ./cmd/dirsim
 
 # Run the fault-injection soak under the race detector: the widened
 # fixed-seed fault matrix (DIRSIM_SOAK=1) plus every fault and hardening

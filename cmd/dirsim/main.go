@@ -146,16 +146,12 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		if nospins {
 			src = trace.WithoutSpins(src)
 		}
-		p, err := core.NewByName(scheme, t.CPUs)
-		if err != nil {
-			return err
-		}
-		opts := sim.Options{Check: check}
-		var simRefs int64
-		var simTime time.Duration
+		opts := sim.Options{Check: check, Shards: shards}
 		if jnl != nil {
-			opts.Observer = func(refs int64, elapsed time.Duration) {
-				simRefs, simTime = refs, elapsed
+			opts.ShardObserver = func(st sim.ShardStat) {
+				jnl.Event("sim.shard", "workload", t.Name, "scheme", scheme,
+					"shard", st.Shard, "shards", st.Shards,
+					"refs", st.Refs, "dur_us", st.Elapsed.Microseconds())
 			}
 		}
 		lane := tr.Lane()
@@ -166,24 +162,13 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		if protoN > 0 {
 			opts.Telemetry = obs.NewProtoSampler(reg, scheme, protoN, lane, span.ID())
 		}
-		var res *sim.Result
-		if shards != 0 && shards != 1 {
-			// Block-sharded path — bit-identical to sequential, so the
-			// printed tables and CSV are unchanged by -shards.
-			opts.Shards = shards
-			if jnl != nil {
-				opts.ShardObserver = func(st sim.ShardStat) {
-					jnl.Event("sim.shard", "workload", t.Name, "scheme", scheme,
-						"shard", st.Shard, "shards", st.Shards,
-						"refs", st.Refs, "dur_us", st.Elapsed.Microseconds())
-				}
-			}
-			res, err = sim.SimulateSharded(func() (core.Protocol, error) {
-				return core.NewByName(scheme, t.CPUs)
-			}, src, opts)
-		} else {
-			res, err = sim.Simulate(p, src, opts)
-		}
+		// Sharding is bit-identical to one core, so the printed tables
+		// and CSV are unchanged by -shards.
+		start := time.Now()
+		res, err := sim.SimulateSharded(func() (core.Protocol, error) {
+			return core.NewByName(scheme, t.CPUs)
+		}, src, opts)
+		elapsed := time.Since(start)
 		if span != nil {
 			span.Arg("refs", len(t.Refs)).End(err)
 			lane.Release()
@@ -194,7 +179,7 @@ func run(wl, traceIn string, cpus, refs int, schemes string, stats, events, nosp
 		}
 		res.Trace = t.Name
 		jnl.Event("simulate.finish", "scheme", res.Scheme, "trace", t.Name,
-			"refs", simRefs, "dur_us", simTime.Microseconds(),
+			"refs", res.Counts.Total, "dur_us", elapsed.Microseconds(),
 			"cycles_per_ref", res.PerRef("pipelined"))
 		results = append(results, res)
 		printResult(res, events)

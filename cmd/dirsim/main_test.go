@@ -134,7 +134,8 @@ func TestRunWithTraceJSON(t *testing.T) {
 }
 
 // TestRunWithJournal checks the journal carries the run bracket and one
-// simulate.finish span per scheme, each with its wall time.
+// simulate.finish span per scheme, each with its wall time, and that an
+// unsharded run journals no sim.shard events.
 func TestRunWithJournal(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
 	if err := run("pingpong", "", 2, 2000, "Dir0B,Dragon", false, false, false, false, 0, "", journal, "", 0); err != nil {
@@ -153,6 +154,9 @@ func TestRunWithJournal(t *testing.T) {
 		}
 		msg := m["msg"].(string)
 		msgs = append(msgs, msg)
+		if msg == "sim.shard" {
+			t.Errorf("unsharded run journaled a sim.shard event: %v", m)
+		}
 		if msg == "simulate.finish" {
 			sims++
 			if m["refs"].(float64) <= 0 || m["dur_us"].(float64) < 0 {

@@ -124,9 +124,8 @@ func (e *Engine) Results(ctx context.Context, exec Executor, specs []SimSpec) ([
 }
 
 // SchemeOverTraces runs one scheme over several workloads and returns the
-// per-workload results plus their reference-weighted merge — the engine
-// counterpart of sim.SchemeOverTraces, executed as a trace → simulate →
-// aggregate DAG with every stage cached.
+// per-workload results plus their reference-weighted merge, executed as
+// a trace → simulate → aggregate DAG with every stage cached.
 func (e *Engine) SchemeOverTraces(ctx context.Context, exec Executor, scheme string,
 	cfgs []workload.Config, check bool) (per []*sim.Result, merged *sim.Result, err error) {
 	if exec == nil {
@@ -603,23 +602,27 @@ func (e *Engine) simulateSource(ctx context.Context, spec SimSpec, src trace.Sou
 			sp.End(err)
 		}()
 	}
-	p, err := core.NewByName(spec.Scheme, spec.Trace.CPUs)
-	if err != nil {
-		return nil, err
-	}
+	// Sharding is bit-identical to one core by the shard equivalence
+	// suite, so the cache key and fingerprint are shared across shard
+	// counts. At one shard SimulateSharded runs inline and calls neither
+	// shard hook.
+	opts := sim.Options{Check: spec.Check, BatchRefs: e.batchRefs, Shards: e.shards}
 	if e.faults != nil {
+		site := fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name)
 		approx := expect
 		if approx < 0 {
 			approx = int64(spec.Trace.Refs)
 		}
-		src = e.faults.WrapSource(fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name), src, approx)
+		src = e.faults.WrapSource(site, src, approx)
+		opts.ShardFault = func(shard int) error {
+			return e.faults.ShardFault(site, shard)
+		}
 	}
 	if spec.BlockBytes != 0 && spec.BlockBytes != trace.BlockBytes {
 		if src, err = trace.WithBlockSize(src, spec.BlockBytes); err != nil {
 			return nil, err
 		}
 	}
-	opts := sim.Options{Check: spec.Check, BatchRefs: e.batchRefs}
 	if e.protoSample > 0 {
 		// The sampler is per-simulation (its instants land on this
 		// goroutine's lane, under the simulate span) but its instruments
@@ -627,37 +630,21 @@ func (e *Engine) simulateSource(ctx context.Context, spec SimSpec, src trace.Sou
 		// accumulate into one family.
 		opts.Telemetry = obs.NewProtoSampler(e.reg, spec.Scheme, e.protoSample, lane, sp.ID())
 	}
-	var r *sim.Result
-	if e.shards > 1 {
-		// Block-sharded path: bit-identical to sim.Simulate by the shard
-		// equivalence suite, so the cache key and fingerprint are shared
-		// with sequential runs. p above already validated the scheme; the
-		// builder mints one fresh core per shard.
-		opts.Shards = e.shards
-		if e.faults != nil {
-			site := fmt.Sprintf("sim:%s@%s", spec.Scheme, spec.Trace.Name)
-			opts.ShardFault = func(shard int) error {
-				return e.faults.ShardFault(site, shard)
-			}
+	if e.sobs != nil {
+		opts.ShardObserver = func(st sim.ShardStat) {
+			e.sobs.ShardFinished(ctx, spec.Trace.Name, spec.Scheme,
+				st.Shard, st.Shards, st.Refs, st.Elapsed)
 		}
-		if e.sobs != nil {
-			opts.ShardObserver = func(st sim.ShardStat) {
-				e.sobs.ShardFinished(ctx, spec.Trace.Name, spec.Scheme,
-					st.Shard, st.Shards, st.Refs, st.Elapsed)
-			}
-		}
-		opts.ShardObserver = countShards(e, opts.ShardObserver)
-		r, err = sim.SimulateSharded(func() (core.Protocol, error) {
-			return core.NewByName(spec.Scheme, spec.Trace.CPUs)
-		}, cancellable(ctx, src), opts)
-		if err == nil {
-			e.shardedSims.Add(1)
-		}
-	} else {
-		r, err = sim.Simulate(p, cancellable(ctx, src), opts)
 	}
+	opts.ShardObserver = countShards(e, opts.ShardObserver)
+	r, err := sim.SimulateSharded(func() (core.Protocol, error) {
+		return core.NewByName(spec.Scheme, spec.Trace.CPUs)
+	}, cancellable(ctx, src), opts)
 	if err != nil {
 		return nil, err
+	}
+	if e.shards > 1 {
+		e.shardedSims.Add(1)
 	}
 	if err := ctx.Err(); err != nil {
 		// The source may have been cut short by cancellation; the partial

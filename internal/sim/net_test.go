@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dirsim/internal/network"
-	"dirsim/internal/trace"
 	"dirsim/internal/workload"
 )
 
@@ -81,15 +80,5 @@ func TestMergeBusModelMismatch(t *testing.T) {
 	// silently dropping measurements.
 	if _, err := Merge(a, b); err == nil {
 		t.Error("merging differently-priced results should fail")
-	}
-}
-
-func TestSchemeOverTracesErrors(t *testing.T) {
-	traces := []*trace.Trace{workload.PingPong(100)}
-	if _, _, err := SchemeOverTraces("NotAScheme", traces, Options{}); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	if _, _, err := SchemeOverTraces("Dir0B", nil, Options{}); err == nil {
-		t.Error("empty trace list should fail (nothing to merge)")
 	}
 }

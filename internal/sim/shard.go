@@ -37,8 +37,9 @@ func ShardOf(b trace.Block, shards int) int {
 type ShardStat struct {
 	// Shard is the worker's index in [0, Shards), or -1 for the splitter.
 	Shard int
-	// Shards is the worker count the run used (after resolving
-	// Options.Shards == 0 to GOMAXPROCS).
+	// Shards is the worker count the run used (after resolving a
+	// negative Options.Shards to GOMAXPROCS); always > 1, since a
+	// one-shard run reports no stats.
 	Shards int
 	// Refs is the number of references this shard simulated (for the
 	// splitter: the total routed).
@@ -87,10 +88,13 @@ func (l *lockedTelemetry) Coherence(out event.Result) {
 	l.tel.Coherence(out)
 }
 
-// SimulateSharded runs one trace through shards concurrent protocol cores
-// and merges their tallies into a single Result, bit-identical to
+// SimulateSharded runs one trace through opts.Shards concurrent protocol
+// cores and merges their tallies into a single Result, bit-identical to
 // Simulate over the same stream at every shard count (the shard
-// equivalence suite asserts exactly this).
+// equivalence suite asserts exactly this). A shard count of 0 or 1 calls
+// build once and runs Simulate on the caller's goroutine — no splitter,
+// no workers, and neither ShardObserver nor ShardFault is called; a
+// negative count means runtime.GOMAXPROCS(0).
 //
 // build constructs one protocol core per shard; cores must be fresh (no
 // shared state). References are partitioned by block (ShardOf), so each
@@ -108,53 +112,44 @@ func (l *lockedTelemetry) Coherence(out event.Result) {
 // are integer-valued floats (exact in float64 far beyond any trace
 // length), so addition order cannot change a single bit.
 //
-// opts.Shards <= 0 resolves to runtime.GOMAXPROCS(0). Check mode attaches
-// one checker per core and keeps the per-shard invariant cadence. On a
-// shard failure the remaining shards drain cleanly (no goroutine leaks)
-// and the lowest failing shard's *ShardError is returned.
+// Check mode attaches one checker per core and keeps the per-shard
+// invariant cadence. On a shard failure the remaining shards drain
+// cleanly (no goroutine leaks) and the lowest failing shard's
+// *ShardError is returned.
 func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts Options) (*Result, error) {
 	shards := opts.Shards
-	if shards <= 0 {
+	if shards < 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	batch := opts.BatchRefs
-	if batch <= 0 {
-		batch = DefaultBatchRefs
-	}
-
-	// Build every core up front so constructor errors surface before any
-	// goroutine starts.
-	protos := make([]core.Protocol, shards)
-	checkers := make([]*core.Checker, shards)
-	var scheme string
-	for s := range protos {
+	if shards <= 1 {
 		p, err := build()
 		if err != nil {
 			return nil, err
 		}
-		if s == 0 {
-			scheme = p.Name()
-			if src.CPUCount() > p.CPUs() {
-				return nil, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
-					src.CPUCount(), p.Name(), p.CPUs())
-			}
-		} else if p.Name() != scheme {
-			return nil, fmt.Errorf("sim: shard cores disagree on scheme: %s vs %s",
-				p.Name(), scheme)
-		}
-		if opts.Check {
-			checkers[s] = core.NewChecker()
-			if !core.Attach(p, checkers[s]) {
-				return nil, fmt.Errorf("sim: %s does not support coherence checking", p.Name())
-			}
-		}
-		protos[s] = p
+		return Simulate(p, src, opts)
+	}
+	if opts.Telemetry != nil {
+		opts.Telemetry = &lockedTelemetry{tel: opts.Telemetry}
 	}
 
-	tel := opts.Telemetry
-	if tel != nil {
-		tel = &lockedTelemetry{tel: opts.Telemetry}
+	// Build every core up front so constructor errors surface before any
+	// goroutine starts.
+	runners := make([]runner, shards)
+	for s := range runners {
+		p, err := build()
+		if err != nil {
+			return nil, err
+		}
+		if s > 0 && p.Name() != runners[0].p.Name() {
+			return nil, fmt.Errorf("sim: shard cores disagree on scheme: %s vs %s",
+				p.Name(), runners[0].p.Name())
+		}
+		if runners[s], err = newRunner(p, src.CPUCount(), opts); err != nil {
+			return nil, err
+		}
 	}
+	batch := runners[0].batch
+
 	var obsMu sync.Mutex
 	notify := func(st ShardStat) {
 		if opts.ShardObserver == nil {
@@ -165,10 +160,7 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 		opts.ShardObserver(st)
 	}
 
-	var start time.Time
-	if opts.Observer != nil || opts.ShardObserver != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 
 	// Per-shard bounded work queues plus one shared free list holding
 	// every reference buffer the pipeline will ever use.
@@ -188,19 +180,15 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	for s := 0; s < shards; s++ {
 		go func(s int) {
 			defer wg.Done()
-			var ws time.Time
-			if opts.ShardObserver != nil {
-				ws = time.Now()
-			}
-			res, n, err := runShard(s, protos[s], checkers[s], work[s], free, batch, opts, tel)
-			results[s], errs[s] = res, err
+			ws := time.Now()
+			results[s], errs[s] = runShard(s, &runners[s], work[s], free)
 			// A failed worker stops consuming early; drain what the
 			// splitter still sends so it never blocks on a full queue or
 			// an exhausted free list.
 			for buf := range work[s] {
 				free <- buf[:0]
 			}
-			notify(ShardStat{Shard: s, Shards: shards, Refs: n, Elapsed: time.Since(ws)})
+			notify(ShardStat{Shard: s, Shards: shards, Refs: runners[s].n, Elapsed: time.Since(ws)})
 		}(s)
 	}
 
@@ -252,70 +240,45 @@ func SimulateSharded(build func() (core.Protocol, error), src trace.Source, opts
 	// Shard results carry no trace names; Merge's name-joining would
 	// produce "+" separators between empty strings.
 	merged.Trace = ""
-	if opts.Observer != nil {
-		opts.Observer(total, time.Since(start))
-	}
 	return merged, nil
 }
 
-// runShard is one worker: it owns one protocol core and one Result, and
-// consumes batches until the splitter closes the queue. Any panic —
-// protocol bug or injected fault — is recovered into a *ShardError so the
-// other shards finish their drain undisturbed.
-func runShard(shard int, p core.Protocol, checker *core.Checker, work <-chan []trace.Ref,
-	free chan<- []trace.Ref, batch int, opts Options, tel Telemetry) (res *Result, n int64, err error) {
+// runShard is one worker: it feeds its runner the batches the splitter
+// queues, returning each buffer to the free list once simulated, until
+// the splitter closes the queue. Any panic — protocol bug or injected
+// fault — is recovered into a *ShardError so the other shards finish
+// their drain undisturbed.
+func runShard(shard int, r *runner, work <-chan []trace.Ref, free chan<- []trace.Ref) (res *Result, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			rerr, ok := r.(error)
+		if v := recover(); v != nil {
+			rerr, ok := v.(error)
 			if !ok {
-				rerr = fmt.Errorf("panic: %v", r)
+				rerr = fmt.Errorf("panic: %v", v)
 			}
 			res = nil
 			err = &ShardError{Shard: shard, Panicked: true, Stack: string(debug.Stack()), Err: rerr}
 		}
 	}()
-	if opts.ShardFault != nil {
-		if ferr := opts.ShardFault(shard); ferr != nil {
-			return nil, 0, &ShardError{Shard: shard, Err: ferr}
+	if r.opts.ShardFault != nil {
+		if ferr := r.opts.ShardFault(shard); ferr != nil {
+			return nil, &ShardError{Shard: shard, Err: ferr}
 		}
 	}
-	res, busTallies, netTallies := newResult(p.Name(), opts)
-	every := int64(opts.InvariantEvery)
-	if every <= 0 {
-		every = 8192
-	}
-	outs := make([]event.Result, 0, batch)
-	for buf := range work {
-		if opts.Check {
-			// Per-reference like the sequential checked path, so a
-			// violation is pinned to this shard's exact reference count.
-			for _, r := range buf {
-				res.record(p.Access(r), busTallies, netTallies, tel)
-				n++
-				if n%every == 0 {
-					if cerr := p.CheckInvariants(); cerr != nil {
-						free <- buf[:0]
-						return nil, n, &ShardError{Shard: shard,
-							Err: fmt.Errorf("after %d refs: %w", n, cerr)}
-					}
-				}
-			}
-		} else {
-			outs = core.AccessBatch(p, buf, outs[:0])
-			for i := range outs {
-				res.record(outs[i], busTallies, netTallies, tel)
-			}
-			n += int64(len(buf))
-		}
-		free <- buf[:0]
-	}
-	if opts.Check {
-		if cerr := p.CheckInvariants(); cerr != nil {
-			return nil, n, &ShardError{Shard: shard, Err: cerr}
-		}
-		if cerr := checker.Err(); cerr != nil {
-			return nil, n, &ShardError{Shard: shard, Err: cerr}
+	var held []trace.Ref
+	release := func() {
+		if held != nil {
+			free <- held[:0]
+			held = nil
 		}
 	}
-	return res, n, nil
+	defer release()
+	res, err = r.run("", func() []trace.Ref {
+		release()
+		held = <-work
+		return held
+	})
+	if err != nil {
+		return nil, &ShardError{Shard: shard, Err: err}
+	}
+	return res, nil
 }

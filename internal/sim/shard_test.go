@@ -83,6 +83,57 @@ func TestShardedViaSimulateTrace(t *testing.T) {
 	}
 }
 
+// TestShardedInline pins the one-shard contract: at Shards 0 and 1,
+// SimulateSharded builds exactly one core, calls neither shard hook, and
+// returns exactly what Simulate returns with telemetry and checking on.
+func TestShardedInline(t *testing.T) {
+	tr, err := workload.Generate(workload.THORConfig(4, 12_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	countingOpts := func(events *int64) Options {
+		opts := batchTestOpts()
+		opts.Check = true
+		opts.Telemetry = telemetryFunc(func(event.Result) { *events++ })
+		return opts
+	}
+	var wantEvents int64
+	p, err := core.NewByName("Dragon", tr.CPUs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Simulate(p, tr.Iterator(), countingOpts(&wantEvents))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1} {
+		var builds, hooks, events int64
+		opts := countingOpts(&events)
+		opts.Shards = shards
+		opts.ShardObserver = func(ShardStat) { hooks++ }
+		opts.ShardFault = func(int) error { hooks++; return nil }
+		got, err := SimulateSharded(func() (core.Protocol, error) {
+			builds++
+			return core.NewByName("Dragon", tr.CPUs)
+		}, tr.Iterator(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if builds != 1 {
+			t.Errorf("Shards=%d: build called %d times, want 1", shards, builds)
+		}
+		if hooks != 0 {
+			t.Errorf("Shards=%d: shard hooks called %d times, want 0", shards, hooks)
+		}
+		if events != wantEvents {
+			t.Errorf("Shards=%d: telemetry saw %d events, Simulate %d", shards, events, wantEvents)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Shards=%d: result differs from Simulate", shards)
+		}
+	}
+}
+
 // TestShardedBatchSizeInvariance: awkward batch sizes exercise partial
 // final buffers on every shard; the result must not move.
 func TestShardedBatchSizeInvariance(t *testing.T) {
@@ -148,16 +199,11 @@ func TestShardedObserver(t *testing.T) {
 		wantPerShard[ShardOf(r.Block(), shards)]++
 	}
 	var stats []ShardStat
-	var total int64
 	opts := batchTestOpts()
 	opts.Shards = shards
 	opts.ShardObserver = func(st ShardStat) { stats = append(stats, st) }
-	opts.Observer = func(refs int64, _ time.Duration) { total = refs }
 	if _, err := SimulateSharded(shardBuild("Dragon", tr.CPUs), tr.Iterator(), opts); err != nil {
 		t.Fatal(err)
-	}
-	if total != int64(len(tr.Refs)) {
-		t.Errorf("observer total = %d, want %d", total, len(tr.Refs))
 	}
 	if len(stats) != shards+1 {
 		t.Fatalf("got %d shard stats, want %d", len(stats), shards+1)
@@ -200,17 +246,8 @@ func TestShardedTelemetry(t *testing.T) {
 		var n int64
 		opts := batchTestOpts()
 		opts.Telemetry = telemetryFunc(func(event.Result) { n++ })
-		var res *Result
-		if shards > 1 {
-			opts.Shards = shards
-			res, err = SimulateSharded(shardBuild("Dir0B", tr.CPUs), tr.Iterator(), opts)
-		} else {
-			var p core.Protocol
-			if p, err = core.NewByName("Dir0B", tr.CPUs); err != nil {
-				t.Fatal(err)
-			}
-			res, err = Simulate(p, tr.Iterator(), opts)
-		}
+		opts.Shards = shards
+		res, err := SimulateSharded(shardBuild("Dir0B", tr.CPUs), tr.Iterator(), opts)
 		if err != nil || res == nil {
 			t.Fatal(err)
 		}
@@ -322,8 +359,8 @@ func TestShardOf(t *testing.T) {
 	}
 }
 
-// TestShardedAutoShards: Shards <= 0 resolves to GOMAXPROCS and still
-// matches the sequential result.
+// TestShardedAutoShards: a negative Shards resolves to GOMAXPROCS and
+// still matches the sequential result.
 func TestShardedAutoShards(t *testing.T) {
 	tr, err := workload.Generate(workload.POPSConfig(4, 8_000))
 	if err != nil {
@@ -335,7 +372,7 @@ func TestShardedAutoShards(t *testing.T) {
 	}
 	want.Trace = ""
 	opts := batchTestOpts()
-	opts.Shards = 0
+	opts.Shards = -1
 	got, err := SimulateSharded(shardBuild("Dir1NB", tr.CPUs), tr.Iterator(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"dirsim/internal/bus"
 	"dirsim/internal/core"
@@ -41,13 +40,6 @@ type Options struct {
 	// InvariantEvery is how many references pass between invariant
 	// checks when Check is set (default 8192).
 	InvariantEvery int
-	// Observer, when set, receives one completion notification with the
-	// number of references simulated and the wall time — the span hook
-	// the CLIs use for per-simulation timing. Timing lives here rather
-	// than on Result so results stay pure functions of the reference
-	// sequence (the engine's executors assert bit-identity on them).
-	// nil skips the clock reads entirely.
-	Observer func(refs int64, elapsed time.Duration)
 	// Telemetry, when set, receives every coherence-relevant event (see
 	// event.Result.CoherenceSignal) as it is recorded — the protocol
 	// telemetry channel the observability layer samples into histograms
@@ -57,22 +49,23 @@ type Options struct {
 	// behind a mutex, so event *order* across shards is scheduling-
 	// dependent — results remain bit-identical regardless.
 	Telemetry Telemetry
-	// Shards selects intra-trace parallel simulation: when > 1,
-	// SimulateTrace partitions the trace's references by block across
-	// this many concurrent protocol cores and merges the per-shard
-	// tallies (see SimulateSharded) — bit-identical to the sequential
-	// path. 0 or 1 runs the single-goroutine loop above.
+	// Shards is SimulateSharded's (and so SimulateTrace's) shard count:
+	// n > 1 partitions the trace's references by block across n
+	// concurrent protocol cores and merges the per-shard tallies —
+	// bit-identical to one core. 0 or 1 runs one core inline on the
+	// caller's goroutine; negative means runtime.GOMAXPROCS(0). Simulate
+	// ignores it.
 	Shards int
 	// ShardObserver, when set, receives one ShardStat as each shard
 	// worker finishes, plus one with Shard == -1 for the splitter — the
 	// hook behind per-shard journal events and skew reporting. Calls are
-	// serialized by SimulateSharded; the single-goroutine path never
-	// calls it.
+	// serialized by SimulateSharded; a one-shard run never calls it.
 	ShardObserver func(ShardStat)
 	// ShardFault, when set, is invoked once at each shard worker's start;
 	// a non-nil return (or a panic) fails that shard. It exists for fault
 	// injection: the engine wires faults.Injector.ShardFault here so soak
-	// tests can kill one shard and assert the others drain cleanly.
+	// tests can kill one shard and assert the others drain cleanly. A
+	// one-shard run has no workers and never calls it.
 	ShardFault func(shard int) error
 }
 
@@ -141,75 +134,90 @@ func (r *Result) PerRef(model string) float64 {
 
 // Simulate runs the protocol over the stream and returns the measurements.
 func Simulate(p core.Protocol, src trace.Source, opts Options) (*Result, error) {
-	if src.CPUCount() > p.CPUs() {
-		return nil, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
-			src.CPUCount(), p.Name(), p.CPUs())
-	}
-	res, busTallies, netTallies := newResult(p.Name(), opts)
-	var checker *core.Checker
-	if opts.Check {
-		checker = core.NewChecker()
-		if !core.Attach(p, checker) {
-			return nil, fmt.Errorf("sim: %s does not support coherence checking", p.Name())
-		}
-	}
-	every := int64(opts.InvariantEvery)
-	if every <= 0 {
-		every = 8192
-	}
-	batch := opts.BatchRefs
-	if batch <= 0 {
-		batch = DefaultBatchRefs
-	}
-	tel := opts.Telemetry
-	var start time.Time
-	if opts.Observer != nil {
-		start = time.Now()
+	r, err := newRunner(p, src.CPUCount(), opts)
+	if err != nil {
+		return nil, err
 	}
 	// References move in batches through two reusable buffers (refs in,
 	// classifications out), so the steady-state loop allocates nothing
 	// and pays the Source interface dispatch once per batch instead of
 	// once per reference.
 	bsrc := trace.Batched(src)
-	buf := make([]trace.Ref, batch)
-	outs := make([]event.Result, 0, batch)
-	var n int64
-	for {
-		k := bsrc.NextBatch(buf)
-		if k == 0 {
-			break
+	buf := make([]trace.Ref, r.batch)
+	return r.run("sim: ", func() []trace.Ref { return buf[:bsrc.NextBatch(buf)] })
+}
+
+// runner is one protocol core ready to simulate: the single simulation
+// loop behind both Simulate and each SimulateSharded worker.
+type runner struct {
+	p       core.Protocol
+	checker *core.Checker
+	opts    Options
+	batch   int   // resolved Options.BatchRefs
+	every   int64 // resolved Options.InvariantEvery
+	n       int64 // references simulated so far
+}
+
+// newRunner validates p against a source with cpus processors and
+// attaches a coherence checker when opts.Check is set.
+func newRunner(p core.Protocol, cpus int, opts Options) (runner, error) {
+	if cpus > p.CPUs() {
+		return runner{}, fmt.Errorf("sim: trace has %d CPUs but %s engine simulates %d",
+			cpus, p.Name(), p.CPUs())
+	}
+	r := runner{p: p, opts: opts, batch: opts.BatchRefs, every: int64(opts.InvariantEvery)}
+	if r.batch <= 0 {
+		r.batch = DefaultBatchRefs
+	}
+	if r.every <= 0 {
+		r.every = 8192
+	}
+	if opts.Check {
+		r.checker = core.NewChecker()
+		if !core.Attach(p, r.checker) {
+			return runner{}, fmt.Errorf("sim: %s does not support coherence checking", p.Name())
 		}
-		if opts.Check {
+	}
+	return r, nil
+}
+
+// run simulates every batch next returns until it returns an empty one,
+// then runs the end-of-run checks. prefix heads the message of an
+// invariant violation found mid-run ("sim: " for Simulate; shard workers
+// wrap the error in a *ShardError instead).
+func (r *runner) run(prefix string, next func() []trace.Ref) (*Result, error) {
+	p, tel := r.p, r.opts.Telemetry
+	res, busTallies, netTallies := newResult(p.Name(), r.opts)
+	outs := make([]event.Result, 0, r.batch)
+	for buf := next(); len(buf) > 0; buf = next() {
+		if r.opts.Check {
 			// The checked path stays per-reference so invariant
 			// violations are pinned to the exact reference count that
 			// exposed them, batch boundaries notwithstanding.
-			for _, r := range buf[:k] {
-				res.record(p.Access(r), busTallies, netTallies, tel)
-				n++
-				if n%every == 0 {
+			for _, ref := range buf {
+				res.record(p.Access(ref), busTallies, netTallies, tel)
+				r.n++
+				if r.n%r.every == 0 {
 					if err := p.CheckInvariants(); err != nil {
-						return nil, fmt.Errorf("sim: after %d refs: %w", n, err)
+						return nil, fmt.Errorf("%safter %d refs: %w", prefix, r.n, err)
 					}
 				}
 			}
 			continue
 		}
-		outs = core.AccessBatch(p, buf[:k], outs[:0])
+		outs = core.AccessBatch(p, buf, outs[:0])
 		for i := range outs {
 			res.record(outs[i], busTallies, netTallies, tel)
 		}
-		n += int64(k)
+		r.n += int64(len(buf))
 	}
-	if opts.Check {
+	if r.opts.Check {
 		if err := p.CheckInvariants(); err != nil {
 			return nil, err
 		}
-		if err := checker.Err(); err != nil {
+		if err := r.checker.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if opts.Observer != nil {
-		opts.Observer(n, time.Since(start))
 	}
 	return res, nil
 }
@@ -250,7 +258,7 @@ func newResult(scheme string, opts Options) (*Result, []*bus.Tally, []*network.T
 }
 
 // record accumulates one classified reference. The tally lists are the
-// pre-resolved values of r.Tallies/r.NetTallies; Simulate binds them once
+// pre-resolved values of r.Tallies/r.NetTallies; runner.run binds them once
 // so this stays free of map iteration. tel, when non-nil, is forwarded
 // every coherence-relevant event; it observes but never alters the
 // result, so the batched/sequential bit-identity guarantees hold with
@@ -297,23 +305,12 @@ func (r *Result) record(out event.Result, busTallies []*bus.Tally, netTallies []
 }
 
 // SimulateTrace builds the named scheme for the trace's CPU count and runs
-// it over the whole trace — sharded across Options.Shards protocol cores
-// when Shards > 1, single-goroutine otherwise; results are bit-identical
-// either way.
+// it over the whole trace through SimulateSharded, so Options.Shards picks
+// the shard count; results are bit-identical at every count.
 func SimulateTrace(scheme string, t *trace.Trace, opts Options) (*Result, error) {
-	var res *Result
-	var err error
-	if opts.Shards > 1 {
-		res, err = SimulateSharded(func() (core.Protocol, error) {
-			return core.NewByName(scheme, t.CPUs)
-		}, t.Iterator(), opts)
-	} else {
-		var p core.Protocol
-		if p, err = core.NewByName(scheme, t.CPUs); err != nil {
-			return nil, err
-		}
-		res, err = Simulate(p, t.Iterator(), opts)
-	}
+	res, err := SimulateSharded(func() (core.Protocol, error) {
+		return core.NewByName(scheme, t.CPUs)
+	}, t.Iterator(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -384,18 +381,4 @@ func Merge(results ...*Result) (*Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// SchemeOverTraces runs one scheme over several traces and returns the
-// per-trace results plus their merge.
-func SchemeOverTraces(scheme string, traces []*trace.Trace, opts Options) (per []*Result, merged *Result, err error) {
-	for _, t := range traces {
-		r, err := SimulateTrace(scheme, t, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: %s over %s: %w", scheme, t.Name, err)
-		}
-		per = append(per, r)
-	}
-	merged, err = Merge(per...)
-	return per, merged, err
 }

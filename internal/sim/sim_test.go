@@ -144,20 +144,6 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
-func TestSchemeOverTraces(t *testing.T) {
-	traces := []*trace.Trace{workload.PingPong(400), workload.Migratory(2, 4, 40)}
-	per, merged, err := SchemeOverTraces("Dragon", traces, Options{Check: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(per) != 2 {
-		t.Fatalf("per-trace results: %d", len(per))
-	}
-	if merged.Counts.Total != per[0].Counts.Total+per[1].Counts.Total {
-		t.Error("merge totals wrong")
-	}
-}
-
 func TestRecordClassification(t *testing.T) {
 	var r Result
 	r.Tallies = map[string]*bus.Tally{}
