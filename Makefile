@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-json bench-hotpath bench-shard bench-obs bench-dist trace-demo experiments clean
+.PHONY: build vet test race check shard-equiv soak soak-dist service-smoke bench bench-obs trace-demo experiments clean
 
 build:
 	$(GO) build ./...
@@ -71,36 +71,13 @@ service-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Measure the execution engine under each executor and write the
-# machine-readable BENCH_engine.json at the repo root.
-bench-json:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteEngineBenchJSON -v .
-
-# Measure the batched simulation hot path against the per-reference
-# baseline at workers=1 and write BENCH_hotpath.json at the repo root.
-bench-hotpath:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteHotpathBenchJSON -v ./internal/sim
-
-# Measure intra-trace sharding at shard counts {1,2,4,8,GOMAXPROCS}
-# against the sequential batched simulator, verify every sharded result
-# bit-identical in-process, and write BENCH_shard.json at the repo root.
-bench-shard:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteShardBenchJSON -v ./internal/sim
-
 # Measure the observability overhead — the hot loop with telemetry off
-# (the default nil path, must stay within noise of BENCH_hotpath.json)
-# and on (ProtoSampler at stride 64), plus an uncached engine run without
-# and with the full tracing stack (Recorder + tracer + TraceContext) —
-# and write BENCH_obs.json.
+# (the default nil path) and on (ProtoSampler at stride 64), plus an
+# uncached engine run without and with the full tracing stack (Recorder
+# + tracer + TraceContext) and with journal shipping on top (gated under
+# 3%) — and write BENCH_obs.json.
 bench-obs:
 	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteObsBenchJSON -v .
-
-# Measure the fleet coordination tax against local execution — the same
-# sweep run locally, through in-process fleets of 1/2/4 workers, and
-# through a 4-worker fleet under transport faults — and write
-# BENCH_dist.json at the repo root.
-bench-dist:
-	DIRSIM_BENCH_JSON=1 $(GO) test -run TestWriteDistBenchJSON -v ./internal/dist
 
 # Produce a sample execution trace from the POPS workload: trace-demo.json
 # is Chrome trace-event JSON — open it in Perfetto (ui.perfetto.dev) or

@@ -200,7 +200,16 @@ func TestJournalShipperRequeuesOnFailure(t *testing.T) {
 // next successful batch — a lost batch cannot lose the loss report.
 func TestJournalShipperOverflowDropsAndCounts(t *testing.T) {
 	sink := &shipperSink{}
-	srv := httptest.NewServer(sink.handler())
+	// The sink holds its first POST until every write is done, so at most
+	// one flush is in flight while the buffer overflows: it carries at
+	// most MaxLines lines and the buffer holds at most MaxLines more.
+	release := make(chan struct{})
+	var first sync.Once
+	accept := sink.handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		first.Do(func() { <-release })
+		accept(w, r)
+	}))
 	defer srv.Close()
 
 	s := NewJournalShipper(&Client{Base: srv.URL}, "w1", ShipperOptions{
@@ -211,12 +220,12 @@ func TestJournalShipperOverflowDropsAndCounts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		jnl.Event("e", "n", i)
 	}
-	// The half-capacity kick may or may not have flushed yet; drops are
-	// whatever exceeded the buffer at write time.
-	if s.Dropped() == 0 {
-		t.Fatal("overflow did not count drops")
-	}
+	dropped := s.Dropped()
+	close(release)
 	s.Close(context.Background())
+	if dropped < 2 {
+		t.Fatalf("overflow dropped %d of 10 lines, want >= 2 (4 in flight + 4 buffered)", dropped)
+	}
 
 	delivered := len(sink.lines())
 	if int64(delivered)+s.Dropped() != 10 {

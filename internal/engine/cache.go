@@ -35,7 +35,7 @@ func newFlightCache() *flightCache {
 }
 
 // claim returns the flight for k and whether the caller owns it. An owner
-// must call fulfill exactly once; a non-owner waits on the flight.
+// must call fulfillStamped exactly once; a non-owner waits on the flight.
 func (c *flightCache) claim(k Key) (f *flight, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -55,14 +55,10 @@ func (c *flightCache) peek(k Key) bool {
 	return ok
 }
 
-// fulfill publishes the owner's result to all waiters. Errors evict the
-// entry first, so the computation can be retried by a later claimant.
-func (c *flightCache) fulfill(k Key, f *flight, val any, err error) {
-	c.fulfillStamped(k, f, val, err, 0, false)
-}
-
-// fulfillStamped is fulfill plus an integrity stamp recorded alongside
-// the value.
+// fulfillStamped publishes the owner's result to all waiters, with an
+// integrity stamp recorded alongside the value when stamped is set.
+// Errors evict the entry first, so the computation can be retried by a
+// later claimant.
 func (c *flightCache) fulfillStamped(k Key, f *flight, val any, err error, sum uint64, stamped bool) {
 	if err != nil {
 		c.mu.Lock()

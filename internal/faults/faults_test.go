@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -419,12 +420,28 @@ func TestWorkerCrash(t *testing.T) {
 	}
 }
 
+// leakHelperBlocked parks until done closes; its name in a stack dump
+// identifies the goroutine TestGoroutineLeakHelper starts.
+func leakHelperBlocked(started chan<- struct{}, done <-chan struct{}) {
+	close(started)
+	<-done
+}
+
+// TestGoroutineLeakHelper checks both halves of the helper. The "sees a
+// live goroutine" half runs against a zero baseline, which every process
+// exceeds, and asserts the stack dump names the parked goroutine, so
+// goroutines left by earlier tests exiting meanwhile cannot offset it.
 func TestGoroutineLeakHelper(t *testing.T) {
 	snap := Goroutines()
-	done := make(chan struct{})
-	go func() { <-done }()
-	if err := snap.Leaked(20 * time.Millisecond); err == nil {
-		t.Error("helper blind to a live extra goroutine")
+	started, done := make(chan struct{}), make(chan struct{})
+	go leakHelperBlocked(started, done)
+	<-started
+	err := GoroutineSnapshot{}.Leaked(0)
+	if err == nil {
+		t.Fatal("helper blind to live goroutines over a zero baseline")
+	}
+	if !strings.Contains(err.Error(), "faults.leakHelperBlocked") {
+		t.Errorf("leak report does not name the live goroutine:\n%v", err)
 	}
 	close(done)
 	if err := snap.Leaked(2 * time.Second); err != nil {

@@ -4,7 +4,7 @@
 //
 //	DIRSIM_BENCH_JSON=1 go test -run TestWriteObsBenchJSON .
 //
-// writes BENCH_obs.json at the repo root with four variants:
+// writes BENCH_obs.json at the repo root with five variants:
 //
 //   - telemetry-off / telemetry-on: the batched Simulate hot loop with a
 //     nil Telemetry (the default) against the same loop with a sampling
@@ -95,17 +95,12 @@ type obsBenchRecord struct {
 }
 
 type obsBenchReport struct {
-	Date       string `json:"date"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-	Note       string `json:"note"`
-	// HotpathBaselineRefsPerS is BENCH_hotpath.json's batched
-	// refs/second, copied in for the cross-file comparison; DeltaPct is
-	// the telemetry-off variant's delta against it (noise plus whatever
-	// the nil-telemetry check costs — must stay within noise).
-	HotpathBaselineRefsPerS float64          `json:"hotpath_baseline_refs_per_second,omitempty"`
-	DeltaPctVsHotpath       float64          `json:"delta_pct_vs_hotpath_baseline,omitempty"`
-	Results                 []obsBenchRecord `json:"results"`
+	Date       string           `json:"date"`
+	NumCPU     int              `json:"num_cpu"`
+	GoMaxProcs int              `json:"gomaxprocs"`
+	GoVersion  string           `json:"go_version"`
+	Note       string           `json:"note"`
+	Results    []obsBenchRecord `json:"results"`
 }
 
 // TestWriteObsBenchJSON measures the telemetry and tracing variants and
@@ -128,6 +123,7 @@ func TestWriteObsBenchJSON(t *testing.T) {
 
 	report := obsBenchReport{
 		Date:       time.Now().UTC().Format(time.RFC3339),
+		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		Note: "three standard traces under " + scheme + ". telemetry-off/on is the " +
@@ -263,25 +259,6 @@ func TestWriteObsBenchJSON(t *testing.T) {
 	for _, rec := range report.Results {
 		if rec.Path == "engine-shipped" && rec.OverheadPct >= 3.0 {
 			t.Errorf("engine-shipped overhead vs engine-traced = %.2f%%, gate is <3%%", rec.OverheadPct)
-		}
-	}
-
-	// Compare the telemetry-off variant against the recorded hot-path
-	// baseline, when it exists; the delta should be run-to-run noise.
-	if data, err := os.ReadFile("BENCH_hotpath.json"); err == nil {
-		var hp struct {
-			Results []struct {
-				Path     string  `json:"path"`
-				RefsPerS float64 `json:"refs_per_second"`
-			} `json:"results"`
-		}
-		if json.Unmarshal(data, &hp) == nil {
-			for _, r := range hp.Results {
-				if r.Path == "batched" && r.RefsPerS > 0 {
-					report.HotpathBaselineRefsPerS = r.RefsPerS
-					report.DeltaPctVsHotpath = 100 * (report.Results[0].RefsPerS - r.RefsPerS) / r.RefsPerS
-				}
-			}
 		}
 	}
 
